@@ -1,10 +1,10 @@
 //! Perf-regression harness: kernel microbenches + headline round timing.
 //!
 //! Times the deterministic fast-path kernels (lane-unrolled dot, packed
-//! matmul / `matmul_tn`, fused axpy+shrink, fused gradient) against the
-//! naive reference implementations they replaced, then times a full
-//! headline-config federated round under both gradient paths
-//! ([`GradReduction::Naive`] vs [`GradReduction::FusedSerial`]) with
+//! matmul / `matmul_tn`, fused axpy+shrink, fused gradient, one-pass
+//! evaluation) against the naive reference implementations they replaced,
+//! then times a full headline-config federated round under both gradient
+//! paths ([`GradReduction::Naive`] vs [`GradReduction::FusedSerial`]) with
 //! evaluation disabled so the numbers isolate training arithmetic.
 //!
 //! Every measurement takes the *minimum* of N reps: on a shared core the
@@ -33,6 +33,7 @@ use std::time::Instant;
 
 use fei_bench::{banner, section};
 use fei_data::{Dataset, SyntheticMnist, SyntheticMnistConfig};
+use fei_math::func::log_sum_exp;
 use fei_math::pack::MatScratch;
 use fei_math::{reduce, Matrix};
 use fei_ml::{GradReduction, GradScratch, LogisticRegression, Model, SgdConfig};
@@ -50,6 +51,8 @@ struct Sizes {
     mat_dim: usize,
     /// Samples in the gradient-kernel dataset.
     grad_samples: usize,
+    /// Samples in the evaluation-pass dataset.
+    eval_samples: usize,
     /// Repetitions per kernel measurement (minimum taken).
     kernel_reps: usize,
     /// Devices in the end-to-end fleet.
@@ -70,6 +73,9 @@ const FULL: Sizes = Sizes {
     axpy_len: 7840,
     mat_dim: 256,
     grad_samples: 2048,
+    // One round of the paper baseline's evaluation: 2 000 test samples
+    // plus the 3 000 training samples of a 5 % scale fleet.
+    eval_samples: 5000,
     kernel_reps: 21,
     devices: 20,
     scale: 0.05,
@@ -86,6 +92,7 @@ const SMOKE: Sizes = Sizes {
     axpy_len: 7840,
     mat_dim: 96,
     grad_samples: 256,
+    eval_samples: 500,
     kernel_reps: 11,
     devices: 5,
     scale: 0.01,
@@ -106,6 +113,8 @@ struct KernelRow {
     /// Work completed per second on the fast path.
     throughput: f64,
     throughput_unit: &'static str,
+    /// Fast-path GFLOP/s, for rows with a well-defined flop count.
+    gflops: Option<f64>,
 }
 
 impl KernelRow {
@@ -183,6 +192,7 @@ fn bench_dot(sizes: &Sizes) -> KernelRow {
         gate: None,
         throughput: sizes.vec_len as f64 / (fast_ns * 1e-9),
         throughput_unit: "elem/s",
+        gflops: None,
     }
 }
 
@@ -256,6 +266,7 @@ fn bench_axpy_shrink(sizes: &Sizes) -> KernelRow {
         gate: Some(1.6),
         throughput: n as f64 / (fast_ns * 1e-9),
         throughput_unit: "elem/s",
+        gflops: None,
     }
 }
 
@@ -278,6 +289,7 @@ fn bench_matmul(sizes: &Sizes, pack: &mut MatScratch) -> KernelRow {
         gate: Some(2.0),
         throughput: (2 * n * n * n) as f64 / (fast_ns * 1e-9),
         throughput_unit: "flop/s",
+        gflops: None,
     }
 }
 
@@ -302,6 +314,7 @@ fn bench_matmul_tn(sizes: &Sizes, pack: &mut MatScratch) -> KernelRow {
         gate: Some(2.0),
         throughput: (2 * n * n * n) as f64 / (fast_ns * 1e-9),
         throughput_unit: "flop/s",
+        gflops: None,
     }
 }
 
@@ -340,8 +353,55 @@ fn bench_gradient(sizes: &Sizes) -> (KernelRow, ScratchCounters) {
         gate: None,
         throughput: sizes.grad_samples as f64 / (fast_ns * 1e-9),
         throughput_unit: "sample/s",
+        gflops: None,
     };
     (row, ScratchCounters { warm, steady_delta })
+}
+
+/// Loss + accuracy of a model on a synthetic-MNIST set: the two-walk path
+/// (a `loss` walk, then an accuracy walk through `predict`, a fresh logits
+/// `Vec` per sample in both) rebuilt from the public single-sample API, vs
+/// the one-pass [`Model::evaluate`]. The flop count is the logits
+/// mat-vec, 2·dim·classes per sample. Returns the row and whether the two
+/// paths agree bit for bit.
+fn bench_eval_pass(sizes: &Sizes) -> (KernelRow, bool) {
+    let data: Dataset =
+        SyntheticMnist::new(SyntheticMnistConfig::default()).generate(sizes.eval_samples, 11);
+    let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
+    model.set_flat(&lcg_vec(model.num_params(), 0xE7A1));
+    let n = data.len() as f64;
+    let two_walks = |model: &LogisticRegression, data: &Dataset| {
+        let mut total = 0.0;
+        for (x, y) in data.iter() {
+            let logits = model.logits(x);
+            total += log_sum_exp(&logits) - logits[y];
+        }
+        let correct = data.iter().filter(|&(x, y)| model.predict(x) == y).count();
+        (total / n, correct as f64 / n)
+    };
+    let baseline_ns = min_ns(sizes.kernel_reps, || {
+        black_box(two_walks(black_box(&model), black_box(&data)));
+    });
+    let fast_ns = min_ns(sizes.kernel_reps, || {
+        black_box(Model::evaluate(black_box(&model), black_box(&data)));
+    });
+    let (loss, accuracy) = two_walks(&model, &data);
+    let eval = Model::evaluate(&model, &data);
+    let identical =
+        loss.to_bits() == eval.loss.to_bits() && accuracy.to_bits() == eval.accuracy.to_bits();
+    let flops = 2.0 * (data.dim() * data.num_classes()) as f64 * n;
+    let row = KernelRow {
+        name: "eval_pass",
+        size: format!("{} samples", data.len()),
+        reps: sizes.kernel_reps,
+        baseline_ns,
+        fast_ns,
+        gate: None,
+        throughput: n / (fast_ns * 1e-9),
+        throughput_unit: "sample/s",
+        gflops: Some(flops / fast_ns),
+    };
+    (row, identical)
 }
 
 /// Builds the end-to-end experiment with evaluation disabled and the given
@@ -407,8 +467,9 @@ fn fmt_ns(ns: f64) -> String {
 
 fn json_kernel(row: &KernelRow) -> String {
     let gate = row.gate.map_or("null".to_string(), |g| format!("{g:.1}"));
+    let gflops = row.gflops.map_or("null".to_string(), |g| format!("{g:.3}"));
     format!(
-        r#"{{"name":"{}","size":"{}","reps":{},"baseline_ns":{:.1},"fast_ns":{:.1},"speedup":{:.3},"gate":{gate},"throughput":{:.3e},"throughput_unit":"{}"}}"#,
+        r#"{{"name":"{}","size":"{}","reps":{},"baseline_ns":{:.1},"fast_ns":{:.1},"speedup":{:.3},"gate":{gate},"throughput":{:.3e},"throughput_unit":"{}","gflops":{gflops}}}"#,
         row.name,
         row.size,
         row.reps,
@@ -508,6 +569,8 @@ fn main() {
     };
     let (grad_row, grad_counters) = bench_gradient(&sizes);
     kernels.push(grad_row);
+    let (eval_row, eval_identical) = bench_eval_pass(&sizes);
+    kernels.push(eval_row);
     for row in &kernels {
         println!(
             "{:>12} {:>16} {:>12} {:>12} {:>8.2}x {:>6} {:>13.3e} {}",
@@ -520,6 +583,9 @@ fn main() {
             row.throughput,
             row.throughput_unit,
         );
+        if let Some(gflops) = row.gflops {
+            println!("{:>12} {gflops:.2} GFLOP/s", "");
+        }
     }
     println!(
         "pack scratch allocations: {} warm, +{} steady   gradient scratch: {} warm, +{} steady (want +0)",
@@ -584,6 +650,9 @@ fn main() {
             "gradient scratch grew by {} allocations after warmup",
             grad_counters.steady_delta
         ));
+    }
+    if !eval_identical {
+        failures.push("eval_pass: one-pass evaluation differs from the two-walk path".to_string());
     }
     if round.scratch.steady_delta != 0 {
         failures.push(format!(

@@ -320,7 +320,7 @@ impl<M: Model> AsyncFedAvg<M> {
 
             let update = history.len();
             let evaluated = (update + 1) % self.config.eval_every == 0;
-            let test_eval = evaluated.then(|| Evaluation::of(&self.global, &self.test));
+            let test_eval = evaluated.then(|| self.global.evaluate(&self.test));
             history.records.push(AsyncUpdateRecord {
                 update,
                 client,

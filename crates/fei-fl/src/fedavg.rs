@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::adversary::{flip_dataset_labels, Adversary, AdversarySpec};
 use crate::aggregate::{try_aggregate, AggregationRule};
 use crate::error::FlError;
+use crate::evaluation::EvalSets;
 use crate::fault::{FaultInjector, RetryPolicy};
 use crate::history::TrainingHistory;
 use crate::resume::EngineCheckpoint;
@@ -237,14 +238,16 @@ pub struct RoundRecord {
 pub struct FedAvg<M: Model = LogisticRegression> {
     config: FedAvgConfig,
     clients: Vec<Arc<Dataset>>,
-    test: Dataset,
+    /// The test set and client shards, evaluated in one pass per round.
+    evals: EvalSets,
     global: M,
     selector: ClientSelector,
     trainer: LocalTrainer,
     /// Persistent worker pool for the parallel gradient reduction, shared
-    /// by every client's local training across all rounds (`None` for the
-    /// serial reductions). The pooled kernel is bit-identical to the scoped
-    /// one, so engines with and without a pool agree exactly.
+    /// by every client's local training across all rounds and by the
+    /// evaluation jobs (`None` for the serial reductions). The pooled
+    /// kernels are bit-identical to the inline ones, so engines with and
+    /// without a pool agree exactly.
     pool: Option<Arc<WorkerPool>>,
     /// Gradient workspace reused across every client and round: after the
     /// first round sizes it, local training runs allocation-free.
@@ -342,10 +345,11 @@ impl<M: Model> FedAvg<M> {
             _ => None,
         };
         let clients: Vec<Arc<Dataset>> = clients.into_iter().map(Arc::new).collect();
+        let evals = EvalSets::new(test, &clients);
         Self {
             config,
             clients,
-            test,
+            evals,
             global,
             selector,
             trainer,
@@ -480,18 +484,12 @@ impl<M: Model> FedAvg<M> {
     /// Loss of the current global model over the union of all client data
     /// (the "global loss value" of Fig. 4).
     pub fn global_train_loss(&self) -> f64 {
-        let total: usize = self.clients.iter().map(|c| c.len()).sum();
-        let weighted: f64 = self
-            .clients
-            .iter()
-            .map(|c| self.global.loss(c) * c.len() as f64)
-            .sum();
-        weighted / total as f64
+        self.evals.train_loss(&self.global, self.pool.as_deref())
     }
 
     /// Test-set evaluation of the current global model.
     pub fn evaluate(&self) -> Evaluation {
-        Evaluation::of(&self.global, &self.test)
+        self.evals.test(&self.global)
     }
 
     /// Executes one global round (§III-A steps 2–4) and returns its record.
@@ -712,13 +710,16 @@ impl<M: Model> FedAvg<M> {
         self.round += 1;
 
         let evaluated = self.round.is_multiple_of(self.config.eval_every);
+        let (global_train_loss, test_eval) = evaluated
+            .then(|| self.evals.round(&self.global, self.pool.as_deref()))
+            .unzip();
         Ok(RoundRecord {
             round: t,
             selected,
             responded,
             local_stats,
-            global_train_loss: evaluated.then(|| self.global_train_loss()),
-            test_eval: evaluated.then(|| self.evaluate()),
+            global_train_loss,
+            test_eval,
             outcome,
             faults,
         })

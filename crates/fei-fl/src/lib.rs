@@ -42,6 +42,7 @@ pub mod adversary;
 pub mod aggregate;
 pub mod asynchronous;
 pub mod error;
+mod evaluation;
 pub mod fault;
 pub mod fedavg;
 pub mod history;

@@ -24,6 +24,7 @@ use parking_lot::Mutex;
 use crate::adversary::{flip_dataset_labels, Adversary, AdversarySpec};
 use crate::aggregate::try_aggregate;
 use crate::error::FlError;
+use crate::evaluation::EvalSets;
 use crate::fault::FaultInjector;
 use crate::fedavg::{FedAvgConfig, RoundFaultStats, RoundOutcome, RoundRecord, StopCondition};
 use crate::history::TrainingHistory;
@@ -193,7 +194,9 @@ fn decode_update(frame: &[u8], base: &[f64], wire: &mut WireScratch) -> Update {
 /// trained [`Model`] (multinomial logistic regression by default).
 pub struct ThreadedFedAvg<M: Model = LogisticRegression> {
     config: FedAvgConfig,
-    test: Dataset,
+    /// The test set and client shards (shared immutably with the worker
+    /// threads), evaluated coordinator-side in one pass per round.
+    evals: EvalSets,
     global: M,
     selector: ClientSelector,
     round: usize,
@@ -209,9 +212,9 @@ pub struct ThreadedFedAvg<M: Model = LogisticRegression> {
     injector: Option<FaultInjector>,
     adversary: Option<Adversary>,
     worker_timeout: Duration,
-    /// Kept so `global_train_loss` can be computed coordinator-side; shared
-    /// immutably with worker threads.
-    client_data: Vec<Arc<Dataset>>,
+    /// The gradient pool the client workers share, also running the
+    /// coordinator's evaluation jobs (`None` for the serial reductions).
+    pool: Option<Arc<WorkerPool>>,
 }
 
 impl ThreadedFedAvg<LogisticRegression> {
@@ -282,11 +285,10 @@ impl<M: Model> ThreadedFedAvg<M> {
         let mut to_workers = Vec::with_capacity(client_data.len());
         let mut handles = Vec::with_capacity(client_data.len());
 
-        // One persistent gradient pool shared by every client worker (the
-        // pooled kernel is bit-identical to the scoped one, so sharing
-        // changes scheduling, never numerics). Dropped when the last client
-        // worker exits.
-        let grad_pool = match config.sgd.grad {
+        // One persistent gradient pool shared by every client worker and the
+        // coordinator's evaluation (the pooled kernels are bit-identical to
+        // the inline ones, so sharing changes scheduling, never numerics).
+        let pool = match config.sgd.grad {
             GradReduction::FusedParallel { threads } if threads > 1 => {
                 Some(Arc::new(WorkerPool::new(threads)))
             }
@@ -302,7 +304,7 @@ impl<M: Model> ThreadedFedAvg<M> {
             let stats = Arc::clone(&stats);
             let template = global.clone();
             let transport = config.transport;
-            let grad_pool = grad_pool.clone();
+            let grad_pool = pool.clone();
             handles.push(std::thread::spawn(move || {
                 worker_loop(
                     id,
@@ -321,7 +323,7 @@ impl<M: Model> ThreadedFedAvg<M> {
         let dropout_rng = fei_sim::DetRng::new(config.seed).fork(0xD80);
         Self {
             config,
-            test,
+            evals: EvalSets::new(test, &client_data),
             global,
             selector,
             round: 0,
@@ -335,7 +337,7 @@ impl<M: Model> ThreadedFedAvg<M> {
             injector: None,
             adversary: None,
             worker_timeout: DEFAULT_WORKER_TIMEOUT,
-            client_data,
+            pool,
         }
     }
 
@@ -444,12 +446,12 @@ impl<M: Model> ThreadedFedAvg<M> {
     pub fn restore(&mut self, checkpoint: EngineCheckpoint<M>) {
         assert_eq!(
             checkpoint.global.dim(),
-            self.client_data[0].dim(),
+            self.global.dim(),
             "checkpoint model dimension mismatch"
         );
         assert_eq!(
             checkpoint.global.num_classes(),
-            self.client_data[0].num_classes(),
+            self.global.num_classes(),
             "checkpoint model class mismatch"
         );
         assert!(
@@ -474,13 +476,7 @@ impl<M: Model> ThreadedFedAvg<M> {
 
     /// Loss of the current global model over all client data.
     pub fn global_train_loss(&self) -> f64 {
-        let total: usize = self.client_sizes.iter().sum();
-        let weighted: f64 = self
-            .client_data
-            .iter()
-            .map(|c| self.global.loss(c) * c.len() as f64)
-            .sum();
-        weighted / total as f64
+        self.evals.train_loss(&self.global, self.pool.as_deref())
     }
 
     /// Executes one global round across the worker threads.
@@ -698,6 +694,9 @@ impl<M: Model> ThreadedFedAvg<M> {
         self.round += 1;
 
         let evaluated = self.round.is_multiple_of(self.config.eval_every);
+        let (global_train_loss, test_eval) = evaluated
+            .then(|| self.evals.round(&self.global, self.pool.as_deref()))
+            .unzip();
         Ok(RoundRecord {
             round: t,
             selected,
@@ -712,8 +711,8 @@ impl<M: Model> ThreadedFedAvg<M> {
                     samples: u.samples,
                 })
                 .collect(),
-            global_train_loss: evaluated.then(|| self.global_train_loss()),
-            test_eval: evaluated.then(|| fei_ml::Evaluation::of(&self.global, &self.test)),
+            global_train_loss,
+            test_eval,
             outcome,
             faults,
         })

@@ -32,7 +32,7 @@ pub mod scratch;
 pub mod trainer;
 pub mod traits;
 
-pub use metrics::{accuracy, Evaluation};
+pub use metrics::{accuracy, evaluate_sets, Evaluation};
 pub use mlp::Mlp;
 pub use model::{LogisticRegression, GRAD_CHUNK};
 pub use optimizer::{GradReduction, SgdConfig};

@@ -9,6 +9,7 @@ use fei_math::pack::{packed_gemm, AOrder};
 use fei_math::reduce;
 use serde::{Deserialize, Serialize};
 
+use crate::metrics::Evaluation;
 use crate::pool::WorkerPool;
 use crate::scratch::{BandState, ChunkWork, GradScratch};
 
@@ -164,37 +165,58 @@ impl LogisticRegression {
     ///
     /// Panics if the dataset is empty or its shape mismatches the model.
     pub fn loss(&self, data: &Dataset) -> f64 {
-        assert!(!data.is_empty(), "loss over empty dataset");
-        self.check_shape(data);
-        let mut total = 0.0;
-        for (x, y) in data.iter() {
-            let logits = self.logits(x);
-            total += log_sum_exp(&logits) - logits[y];
-        }
-        total / data.len() as f64
+        let mut logits = vec![0.0; self.num_classes];
+        self.loss_sum_and_hits(data, &mut logits).0 / data.len() as f64
     }
 
-    /// [`LogisticRegression::loss`] against a reused workspace: same
-    /// sample-ascending accumulation and the same (striped) dot kernel, but
-    /// zero heap allocations once `scratch` is warm. Bit-identical to
-    /// [`LogisticRegression::loss`] — the fused trainer paths use it for
-    /// their before/after loss measurements.
+    /// [`LogisticRegression::loss`] against a reused workspace: the same
+    /// pass, but zero heap allocations once `scratch` is warm. The fused
+    /// trainer paths use it for their before/after loss measurements.
     ///
     /// # Panics
     ///
     /// Panics if the dataset is empty or its shape mismatches the model.
     pub fn loss_with(&self, data: &Dataset, scratch: &mut GradScratch) -> f64 {
+        let logits = &mut scratch.loss_work(self.num_classes).logits[..self.num_classes];
+        self.loss_sum_and_hits(data, logits).0 / data.len() as f64
+    }
+
+    /// Mean loss and accuracy from one walk over the dataset, where
+    /// [`LogisticRegression::loss`] followed by [`crate::accuracy`] takes
+    /// two — with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset is empty or its shape mismatches the model.
+    pub fn evaluate(&self, data: &Dataset) -> Evaluation {
+        let mut logits = vec![0.0; self.num_classes];
+        let (total, hits) = self.loss_sum_and_hits(data, &mut logits);
+        let n = data.len() as f64;
+        Evaluation {
+            loss: total / n,
+            accuracy: hits as f64 / n,
+        }
+    }
+
+    /// The one evaluation pass: per sample in ascending order,
+    /// [`LogisticRegression::logits_into`] once, then the cross-entropy
+    /// term and the argmax from that row. Returns the unnormalized loss
+    /// sum and the count of correct predictions. Because `logits_into`
+    /// matches [`LogisticRegression::logits`] bit for bit, the sum equals
+    /// the per-sample `logits()` loss summed in the same order, and the
+    /// argmax equals [`LogisticRegression::predict`] (ties to the lowest
+    /// class).
+    fn loss_sum_and_hits(&self, data: &Dataset, logits: &mut [f64]) -> (f64, usize) {
         assert!(!data.is_empty(), "loss over empty dataset");
         self.check_shape(data);
-        let nc = self.num_classes;
-        let work = scratch.loss_work(nc);
-        let logits = &mut work.logits[..nc];
         let mut total = 0.0;
+        let mut hits = 0;
         for (x, y) in data.iter() {
             self.logits_into(x, logits);
             total += log_sum_exp(logits) - logits[y];
+            hits += usize::from(argmax(logits) == y);
         }
-        total / data.len() as f64
+        (total, hits)
     }
 
     /// Mean cross-entropy loss and its gradient over `indices` of `data`
@@ -696,6 +718,10 @@ impl crate::traits::Model for LogisticRegression {
 
     fn loss_with(&self, data: &Dataset, scratch: &mut GradScratch) -> f64 {
         LogisticRegression::loss_with(self, data, scratch)
+    }
+
+    fn evaluate(&self, data: &Dataset) -> Evaluation {
+        LogisticRegression::evaluate(self, data)
     }
 
     fn loss_and_gradient_pooled(

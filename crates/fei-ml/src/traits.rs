@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use fei_data::Dataset;
 
+use crate::metrics::{accuracy, Evaluation};
 use crate::pool::WorkerPool;
 use crate::scratch::GradScratch;
 
@@ -52,6 +53,21 @@ pub trait Model: Clone + Send + 'static {
     ///
     /// Panics if the dataset is empty or shapes mismatch.
     fn loss(&self, data: &Dataset) -> f64;
+
+    /// Mean loss and accuracy over a dataset. Must be **bit-identical** to
+    /// `(self.loss(data), accuracy(self, data))`. Models that can take both
+    /// from one forward pass per sample override it (the logistic
+    /// regression does); the default runs the two walks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset is empty or shapes mismatch.
+    fn evaluate(&self, data: &Dataset) -> Evaluation {
+        Evaluation {
+            loss: self.loss(data),
+            accuracy: accuracy(self, data),
+        }
+    }
 
     /// Mean loss and flat gradient over the given sample indices.
     ///

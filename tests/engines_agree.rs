@@ -192,6 +192,21 @@ fn chunked_parallel_agrees_across_thread_counts() {
     }
 }
 
+/// The evaluation fields of a record stream as raw bits: `assert_eq!` on
+/// `f64` treats `0.0` and `-0.0` as equal, bits do not.
+fn eval_bits(records: &[RoundRecord]) -> Vec<[Option<u64>; 3]> {
+    records
+        .iter()
+        .map(|r| {
+            [
+                r.global_train_loss.map(f64::to_bits),
+                r.test_eval.map(|e| e.loss.to_bits()),
+                r.test_eval.map(|e| e.accuracy.to_bits()),
+            ]
+        })
+        .collect()
+}
+
 #[test]
 fn pooled_round_records_identical_for_any_pool_size() {
     // FusedParallel now runs on a persistent worker pool owned by the
@@ -199,25 +214,44 @@ fn pooled_round_records_identical_for_any_pool_size() {
     // chunk bands by the same static formula for every size, so the full
     // RoundRecord stream — selections, evaluations, losses, fault stats —
     // must be identical from one worker (inline fallback) through eight,
-    // and identical to the serial reduction.
-    let (clients, test) = federation(37);
-    let records_with = |reduction: GradReduction| {
-        let config = FedAvgConfig {
+    // and identical to the serial reduction. Evaluation runs on the same
+    // pool as whole-dataset jobs; the uneven federation gives those jobs
+    // different sizes, and both engines must land on the same bits.
+    let gen = SyntheticMnist::new(SyntheticMnistConfig::default());
+    let train = gen.generate(260, 0);
+    let (head, rest) = train.split_at(25);
+    let (mid, tail) = rest.split_at(150);
+    let uneven = (vec![head, mid, tail], gen.generate(70, 1));
+    for (name, (clients, test)) in [("iid", federation(37)), ("uneven", uneven)] {
+        let config_with = |reduction: GradReduction| FedAvgConfig {
             clients_per_round: 3,
             local_epochs: 2,
             sgd: SgdConfig::new(0.05, 0.99, None).with_grad_reduction(reduction),
             ..Default::default()
         };
-        let mut engine = FedAvg::new(config, clients.clone(), test.clone());
-        (0..3).map(|_| engine.run_round()).collect::<Vec<_>>()
-    };
-    let reference = records_with(GradReduction::FusedSerial);
-    for size in 1..=8 {
-        assert_eq!(
-            records_with(GradReduction::FusedParallel { threads: size }),
-            reference,
-            "pool size {size} changed a RoundRecord"
-        );
+        let records_with = |reduction: GradReduction| {
+            let mut engine = FedAvg::new(config_with(reduction), clients.clone(), test.clone());
+            (0..3).map(|_| engine.run_round()).collect::<Vec<_>>()
+        };
+        let reference = records_with(GradReduction::FusedSerial);
+        for size in 1..=8 {
+            let reduction = GradReduction::FusedParallel { threads: size };
+            let records = records_with(reduction);
+            assert_eq!(records, reference, "pool size {size} changed a RoundRecord");
+            assert_eq!(
+                eval_bits(&records),
+                eval_bits(&reference),
+                "{name}: pool size {size} changed an evaluation's bits"
+            );
+            let mut threaded =
+                ThreadedFedAvg::new(config_with(reduction), clients.clone(), test.clone());
+            let threaded: Vec<_> = (0..3).map(|_| threaded.run_round()).collect();
+            assert_eq!(
+                eval_bits(&threaded),
+                eval_bits(&reference),
+                "{name}: threaded engine at pool size {size} changed an evaluation's bits"
+            );
+        }
     }
 }
 
